@@ -39,12 +39,12 @@ func main() {
 		seed     = flag.Uint64("seed", def.Seed, "random seed (load + both streams)")
 		capsFlag = flag.String("capacities", capsDefault(def.CapacitiesPages),
 			"comma-separated buffer sizes in pages for the three-way comparison")
-		simWarm  = flag.Int64("sim-warmup", def.SimWarmupTxns, "synthetic simulation warmup transactions")
-		batches  = flag.Int("sim-batches", def.SimBatches, "synthetic simulation batches")
-		batchTx  = flag.Int64("sim-batch-txns", def.SimBatchTxns, "transactions per synthetic batch")
-		tol      = flag.Float64("tol", def.TolReplaySim, "engine-vs-simulation miss-rate tolerance")
-		tolAna   = flag.Float64("tol-analytic", def.TolAnalytic, "simulation-vs-analytic miss-rate tolerance")
-		out      = flag.String("out", "", "directory for xval.tsv and xval.json (empty = stdout TSV only)")
+		simWarm = flag.Int64("sim-warmup", def.SimWarmupTxns, "synthetic simulation warmup transactions")
+		batches = flag.Int("sim-batches", def.SimBatches, "synthetic simulation batches")
+		batchTx = flag.Int64("sim-batch-txns", def.SimBatchTxns, "transactions per synthetic batch")
+		tol     = flag.Float64("tol", def.TolReplaySim, "engine-vs-simulation miss-rate tolerance")
+		tolAna  = flag.Float64("tol-analytic", def.TolAnalytic, "simulation-vs-analytic miss-rate tolerance")
+		out     = flag.String("out", "", "directory for xval.tsv and xval.json (empty = stdout TSV only)")
 	)
 	flag.Parse()
 

@@ -208,7 +208,9 @@ func (p relPager) Allocate() (storage.PageID, error) {
 
 // pageRelMap is a dense page→relation table. PageIDs are allocated densely
 // from 0, so a slice indexed by page ID beats a map: the classifier reads
-// it on every flush and eviction, and reads must not allocate.
+// it on every flush and eviction, and reads must not allocate. set grows
+// the table by append, geometrically, so tagging every page of a load
+// costs amortized O(1) per page, not a copy of the table.
 type pageRelMap struct {
 	mu   sync.RWMutex
 	rels []core.Relation
@@ -217,9 +219,7 @@ type pageRelMap struct {
 func (m *pageRelMap) set(id storage.PageID, rel core.Relation) {
 	m.mu.Lock()
 	if n := int(id) + 1; n > len(m.rels) {
-		grown := make([]core.Relation, n+n/2+64)
-		copy(grown, m.rels)
-		m.rels = grown[:n]
+		m.rels = append(m.rels, make([]core.Relation, n-len(m.rels))...)
 	}
 	m.rels[id] = rel
 	m.mu.Unlock()

@@ -1,11 +1,13 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/lock"
+	"tpccmodel/internal/engine/mvcc"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
@@ -75,7 +77,18 @@ func (b *Branch) Prepare() error {
 // releases its locks. On the home branch this record is the global
 // decision. A failed force leaves the branch open — locks held, undo
 // intact — so the caller may retry, abort, or (device dead) Forsake.
-func (b *Branch) Commit() error { return b.t.commitWith(b.gid) }
+//
+// Under CCSSI the home branch, which never prepares, is validated here:
+// a pivot rolls back and returns ErrSSIAbort, as Prepare does, so the
+// coordinator aborts globally and the caller retries.
+func (b *Branch) Commit() error {
+	err := b.t.commitWith(b.gid)
+	if errors.Is(err, mvcc.ErrSSI) {
+		_ = b.t.rollbackWith(b.gid)
+		return ErrSSIAbort
+	}
+	return err
+}
 
 // Abort rolls the branch back: undo in reverse, an abort record carrying
 // the gid (best-effort — presumed abort needs no durable decision), and

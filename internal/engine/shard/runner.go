@@ -255,6 +255,36 @@ func (rn *Runner) runOne(ctx context.Context) error {
 		exec = rn.localExec(home, func(d *db.DB) error { _, err := d.StockLevel(in); return err })
 	}
 
+	acked, err := rn.execute(ctx, typ, exec)
+	if !acked {
+		return err
+	}
+	rn.counts[typ].Add(1)
+	if rn.Xval != nil {
+		switch typ {
+		case core.TxnNewOrder:
+			rn.Xval.NewOrders.Add(1)
+			rn.Xval.RemoteLines.Add(remoteLines)
+			rn.Xval.RemoteSites.Add(remoteSites)
+			if remoteLines == 0 {
+				rn.Xval.AllLocal.Add(1)
+			}
+		case core.TxnPayment:
+			rn.Xval.Payments.Add(1)
+			if remotePayment {
+				rn.Xval.RemotePayments.Add(1)
+				rn.Xval.RemoteCustCalls.Add(int64(remoteCalls))
+			}
+		}
+	}
+	return nil
+}
+
+// execute runs exec under the retry policy and reports whether it was
+// acknowledged. A shed transaction returns (false, nil); a failure that
+// is neither a dead shard nor retriable, a shed budget overrun or a
+// cancelled ctx returns the error.
+func (rn *Runner) execute(ctx context.Context, typ core.TxnType, exec func() error) (bool, error) {
 	maxAttempts := rn.Policy.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -262,26 +292,8 @@ func (rn *Runner) runOne(ctx context.Context) error {
 	for attempt := 1; ; attempt++ {
 		err := exec()
 		if err == nil {
-			rn.counts[typ].Add(1)
 			rn.consecutiveSheds = 0
-			if rn.Xval != nil {
-				switch typ {
-				case core.TxnNewOrder:
-					rn.Xval.NewOrders.Add(1)
-					rn.Xval.RemoteLines.Add(remoteLines)
-					rn.Xval.RemoteSites.Add(remoteSites)
-					if remoteLines == 0 {
-						rn.Xval.AllLocal.Add(1)
-					}
-				case core.TxnPayment:
-					rn.Xval.Payments.Add(1)
-					if remotePayment {
-						rn.Xval.RemotePayments.Add(1)
-						rn.Xval.RemoteCustCalls.Add(int64(remoteCalls))
-					}
-				}
-			}
-			return nil
+			return true, nil
 		}
 		shed := false
 		switch {
@@ -289,7 +301,7 @@ func (rn *Runner) runOne(ctx context.Context) error {
 			// Dead shard: typed refusal, already counted per shard.
 			shed = true
 		case !retriable(err):
-			return fmt.Errorf("shard: %s failed: %w", typ, err)
+			return false, fmt.Errorf("shard: %s failed: %w", typ, err)
 		case attempt >= maxAttempts:
 			shed = true
 		}
@@ -297,13 +309,13 @@ func (rn *Runner) runOne(ctx context.Context) error {
 			rn.sheds.Add(1)
 			rn.consecutiveSheds++
 			if b := rn.Policy.ShedBudget; b > 0 && rn.consecutiveSheds > b {
-				return fmt.Errorf("shard: shed %d transactions in a row (last: %w)",
+				return false, fmt.Errorf("shard: shed %d transactions in a row (last: %w)",
 					rn.consecutiveSheds, err)
 			}
-			return nil
+			return false, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return false, err
 		}
 		rn.retries.Add(1)
 		rn.backoff(attempt)

@@ -251,13 +251,19 @@ func (c *Cluster) ExecNewOrder(in db.NewOrderInput) (db.NewOrderResult, error) {
 // commitHome forces the home branch's commit record — the global
 // decision — retrying transient failures. A crashed home device means
 // the decision never became durable: presumed abort, surfaced as
-// ErrCoordinatorDown.
+// ErrCoordinatorDown. A home branch that aborted itself (an SSI pivot
+// found at the decision point) has already rolled back; the global
+// abort is returned at once, wrapping db.ErrAborted, for the caller to
+// retry.
 func (c *Cluster) commitHome(home int, hb *db.Branch) error {
 	hs := c.shards[home]
 	for attempt := 1; ; attempt++ {
 		err := hb.Commit()
 		if err == nil {
 			return nil
+		}
+		if errors.Is(err, db.ErrAborted) {
+			return fmt.Errorf("home shard %d: %w", home, err)
 		}
 		if errors.Is(err, storage.ErrCrashed) {
 			hb.Forsake()

@@ -88,51 +88,46 @@ type DiskIO interface {
 const memDiskSlabPages = 64
 
 // MemDisk is the baseline DiskIO: a fault-free in-memory page device.
+// Page IDs are handed out densely from 0, so the page table is a slice
+// indexed by PageID: with the slab carving, Allocate is amortized O(1)
+// and Read/Write find a page by one index, no hashing.
 type MemDisk struct {
-	mu      sync.RWMutex
-	data    map[PageID][]byte
-	journal map[PageID][]byte
-	next    PageID
-	slab    []byte
+	mu    sync.RWMutex
+	pages []memPage // indexed by PageID
+	slab  []byte
 }
 
+// memPage is one allocated page's two physical copies.
+type memPage struct{ data, journal []byte }
+
 // NewMemDisk creates an empty device.
-func NewMemDisk() *MemDisk {
-	return &MemDisk{
-		data:    make(map[PageID][]byte),
-		journal: make(map[PageID][]byte),
-	}
-}
+func NewMemDisk() *MemDisk { return &MemDisk{} }
 
 // Allocate implements DiskIO.
 func (m *MemDisk) Allocate(size int) PageID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := m.next
-	m.next++
 	need := 2 * size
 	if len(m.slab) < need {
 		m.slab = make([]byte, need*memDiskSlabPages)
 	}
-	m.data[id] = m.slab[:size:size]
-	m.journal[id] = m.slab[size:need:need]
+	m.pages = append(m.pages, memPage{
+		data:    m.slab[:size:size],
+		journal: m.slab[size:need:need],
+	})
 	m.slab = m.slab[need:]
-	return id
+	return PageID(len(m.pages) - 1)
 }
 
 func (m *MemDisk) area(id PageID, area Area) ([]byte, error) {
-	var p []byte
-	var ok bool
-	if area == AreaJournal {
-		p, ok = m.journal[id]
-	} else {
-		p, ok = m.data[id]
-	}
-	if !ok {
+	if id >= PageID(len(m.pages)) {
 		return nil, fmt.Errorf("storage: access to unallocated page %d (%s): %w",
 			id, area, ErrInvalidArgument)
 	}
-	return p, nil
+	if area == AreaJournal {
+		return m.pages[id].journal, nil
+	}
+	return m.pages[id].data, nil
 }
 
 // Read implements DiskIO.
@@ -171,5 +166,5 @@ func (m *MemDisk) Write(id PageID, area Area, buf []byte) error {
 func (m *MemDisk) Pages() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return int64(len(m.data))
+	return int64(len(m.pages))
 }

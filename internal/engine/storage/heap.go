@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -90,6 +91,36 @@ func bitmapSet(page []byte, slot int, v bool) {
 	}
 }
 
+// firstFree returns the lowest free slot of page, or -1 when every slot
+// is taken. It scans the occupancy bitmap a byte at a time: the lowest
+// clear bit is the answer unless it lies past the last slot, in which
+// case every slot below it is taken.
+func (h *HeapFile) firstFree(page []byte) int {
+	for i, b := range page[heapHeader : heapHeader+(h.slots+7)/8] {
+		if b != 0xff {
+			if s := i*8 + bits.TrailingZeros8(^b); s < h.slots {
+				return s
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// liveSlots counts page's occupied slots.
+func (h *HeapFile) liveSlots(page []byte) int {
+	bm := page[heapHeader : heapHeader+(h.slots+7)/8]
+	live := 0
+	for _, b := range bm {
+		live += bits.OnesCount8(b)
+	}
+	// Bits past the last slot are not slots, whatever they hold.
+	if r := h.slots % 8; r != 0 {
+		live -= bits.OnesCount8(bm[len(bm)-1] >> uint(r))
+	}
+	return live
+}
+
 func slotOffset(numSlots, recLen, slot int) int {
 	return heapHeader + (numSlots+7)/8 + slot*recLen
 }
@@ -174,15 +205,11 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, err
 		}
-		slot := -1
-		for s := 0; s < h.slots; s++ {
-			if !bitmapGet(p.Data, s) {
-				bitmapSet(p.Data, s, true)
-				off := slotOffset(h.slots, h.recLen, s)
-				copy(p.Data[off:off+h.recLen], rec)
-				slot = s
-				break
-			}
+		slot := h.firstFree(p.Data)
+		if slot >= 0 {
+			bitmapSet(p.Data, slot, true)
+			off := slotOffset(h.slots, h.recLen, slot)
+			copy(p.Data[off:off+h.recLen], rec)
 		}
 		h.pager.Unpin(p, slot >= 0)
 		if slot >= 0 {
@@ -268,13 +295,7 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 	h.liveCount = 0
 	for i, pid := range h.pages {
 		var live int
-		err := h.pager.With(pid, false, func(page []byte) {
-			for s := 0; s < h.slots; s++ {
-				if bitmapGet(page, s) {
-					live++
-				}
-			}
-		})
+		err := h.pager.With(pid, false, func(page []byte) { live = h.liveSlots(page) })
 		if err != nil {
 			return err
 		}

@@ -328,8 +328,8 @@ type ExactRow struct {
 
 // Row is one three-way comparison cell: a modeled relation at a capacity.
 type Row struct {
-	Relation      string  `json:"relation"`
-	CapacityPages int64   `json:"capacity_pages"`
+	Relation      string `json:"relation"`
+	CapacityPages int64  `json:"capacity_pages"`
 	// EngineMiss is the replayed engine-stream miss rate (bit-identical
 	// to what the engine would measure at this capacity), SimMiss the
 	// synthetic trace-driven rate, AnalyticMiss the per-call-adjusted
